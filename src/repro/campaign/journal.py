@@ -65,6 +65,10 @@ class JobEntry:
     attempts: int = 0
     source: str = ""              # "store" | "run" once done
     error: str = ""               # last traceback for failed/quarantined
+    #: The job's spec: the submitted object on a new journal, parsed
+    #: from ``payload`` on first use after a replay.
+    parsed: Optional[RunSpec] = field(default=None, repr=False,
+                                      compare=False)
 
     @property
     def open(self) -> bool:
@@ -72,7 +76,19 @@ class JobEntry:
         return self.state not in ("done", "quarantined")
 
     def spec(self) -> RunSpec:
-        return RunSpec.from_dict(self.payload)
+        if self.parsed is None:
+            self.parsed = RunSpec.from_dict(self.payload)
+        return self.parsed
+
+    @property
+    def label(self) -> str:
+        """Best-effort job label (payloads from other code versions may
+        not reconstruct into a RunSpec)."""
+        try:
+            return self.spec().label
+        except Exception:
+            return (f"{self.payload.get('kind', '?')}/"
+                    f"{self.payload.get('bench', '?')}")
 
 
 class CampaignRun:
@@ -88,6 +104,8 @@ class CampaignRun:
         self.created = created
         self.options = options or {}
         self.complete = complete
+        #: Counters of the last ``complete`` line (hits, executed, ...).
+        self.counters: Dict[str, object] = {}
 
     # ------------------------------------------------------ construction
 
@@ -114,7 +132,8 @@ class CampaignRun:
             raise CampaignError(
                 f"campaign {campaign_id!r} already exists at {path}")
         created = time.time()
-        jobs = [JobEntry(index=i, payload=s.to_dict(), key=s.cache_key())
+        jobs = [JobEntry(index=i, payload=s.to_dict(), key=s.cache_key(),
+                         parsed=s)
                 for i, s in enumerate(specs)]
         header = {
             "journal": JOURNAL_SCHEMA,
@@ -176,6 +195,8 @@ class CampaignRun:
     def _apply(self, entry: Dict[str, object]) -> None:
         if entry.get("state") == "complete":
             self.complete = True
+            self.counters = {name: value for name, value in entry.items()
+                             if name not in ("campaign", "state", "ts")}
             return
         index = entry.get("job")
         state = entry.get("state")
@@ -211,7 +232,7 @@ class CampaignRun:
                  "ts": round(time.time(), 3)}
         entry.update(counters)
         self._append(entry)
-        self.complete = True
+        self._apply(entry)
 
     def _append(self, entry: Dict[str, object]) -> None:
         with open(self.path, "a", encoding="utf-8") as fh:
@@ -239,19 +260,9 @@ class CampaignRun:
             "complete": self.complete,
             "states": counts,
             "quarantined": [
-                {"label": _safe_label(job.payload), "key": job.key,
-                 "error": job.error}
+                {"label": job.label, "key": job.key, "error": job.error}
                 for job in self.jobs if job.state == "quarantined"],
         }
-
-
-def _safe_label(payload: Dict[str, object]) -> str:
-    """Best-effort job label (payloads from other code versions may not
-    reconstruct into a RunSpec)."""
-    try:
-        return RunSpec.from_dict(payload).label
-    except Exception:
-        return f"{payload.get('kind', '?')}/{payload.get('bench', '?')}"
 
 
 def list_campaigns(store_root: Union[str, Path]) -> List[Dict[str, object]]:

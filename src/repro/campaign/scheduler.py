@@ -215,7 +215,7 @@ class CampaignScheduler:
                 done += 1
                 report.quarantined.append(
                     {"key": job.key, "error": job.error,
-                     "label": _label(job)})
+                     "label": job.label})
                 continue
             cached = self.store.get(job.key)
             if cached is not None:
@@ -369,13 +369,6 @@ class CampaignScheduler:
             event="quarantine", spec=flight.spec, done=done, total=total,
             error=error))
         return done
-
-
-def _label(job: JobEntry) -> str:
-    try:
-        return job.spec().label
-    except Exception:
-        return job.key[:12]
 
 
 def submit_campaign(specs,

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import asdict, dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig, stable_hash
 from repro.core.registry import KindInfo, get_kind, kind_names
@@ -177,10 +177,21 @@ class RunSpec:
         }
 
     def cache_key(self) -> str:
-        """Content address: spec payload + simulator code fingerprint."""
-        payload = self.payload()
-        payload["code"] = code_fingerprint()
-        return stable_hash(payload, length=40)
+        """Content address: spec payload + simulator code fingerprint.
+
+        Memoized on the spec next to the fingerprint it was computed
+        under: a spec is frozen, so only the fingerprint can change its
+        key, and a different fingerprint recomputes it. The memo rides
+        along when a spec is pickled into a worker.
+        """
+        code = code_fingerprint()
+        memo = self.__dict__.get("_key_memo")
+        if memo is None or memo[0] != code:
+            payload = self.payload()
+            payload["code"] = code
+            memo = (code, stable_hash(payload, length=40))
+            object.__setattr__(self, "_key_memo", memo)
+        return memo[1]
 
     def variant(self) -> Dict[str, object]:
         """Non-default config/fly fields — the axes a sweep varied.
@@ -191,23 +202,18 @@ class RunSpec:
         ``ls`` and CSV exports, where the clock/seed axes alone are
         identical across e.g. the sensitivity or ablation sweeps.
         """
-        out: Dict[str, object] = {}
-        base = asdict(default_config(self.kind))
-        for name, value in asdict(self.config).items():
-            if name in ("mem", "trace", "engine"):
-                continue  # rendered compactly by ``label`` (mem=/trace=/engine=)
-            if value != base[name]:
-                out[name] = value
+        # mem/trace/engine are rendered compactly by ``label``.
+        out = dict(_differing(self.config, default_config(self.kind),
+                              skip=("mem", "trace", "engine")))
         if self.fly is not None:
-            fly_base = asdict(FlywheelConfig())
-            for name, value in asdict(self.fly).items():
-                if value != fly_base[name]:
-                    out[f"fly.{name}"] = value
+            out.update((f"fly.{name}", value) for name, value
+                       in _differing(self.fly, FlywheelConfig()))
         return out
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """Short human-readable job name for progress lines and ``ls``."""
+        """Short human-readable job name for progress lines and ``ls``
+        (computed once per spec)."""
         bits = [f"{self.kind}/{self.bench}"]
         if self.clock.fe_speedup or self.clock.be_speedup:
             bits.append(f"fe+{self.clock.fe_speedup:.0%}"
@@ -269,6 +275,19 @@ class RunSpec:
             warmup=data.get("warmup", DEFAULT_WARMUP),
             mem_scale=data.get("mem_scale", 1.0),
         )
+
+
+def _differing(value, base, skip: Tuple[str, ...] = ()) -> Iterator[
+        Tuple[str, object]]:
+    """``(name, value)`` of the dataclass fields where ``value`` differs
+    from ``base``. Only a differing nested config is converted, to the
+    dict ``asdict`` renders, so labels read as they always have."""
+    for f in fields(value):
+        if f.name in skip:
+            continue
+        mine = getattr(value, f.name)
+        if mine != getattr(base, f.name):
+            yield f.name, asdict(mine) if is_dataclass(mine) else mine
 
 
 def dedup(specs: Iterable[RunSpec]) -> List[RunSpec]:

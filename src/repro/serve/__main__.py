@@ -185,7 +185,8 @@ def _parser() -> argparse.ArgumentParser:
     daemon.add_argument("--store", default=None,
                         help="store root (default: repro's default store)")
     daemon.add_argument("--jobs", type=int, default=2,
-                        help="default worker processes per campaign")
+                        help="worker processes per campaign; a POSTed "
+                        "'jobs' may ask for fewer, never more")
     daemon.add_argument("--timeout", type=float, default=None,
                         help="per-job timeout in seconds")
     daemon.add_argument("--retries", type=int, default=1,

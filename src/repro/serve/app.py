@@ -10,8 +10,9 @@ Endpoints (JSON unless noted):
 
 ==========================  =============================================
 ``GET  /healthz``           liveness + store root/record count
-``POST /campaigns``         Sweep JSON (see :mod:`repro.serve.payload`)
-                            → ``202 {"campaign": id, "total": n}``
+``POST /campaigns``         Sweep JSON (see :mod:`repro.serve.payload`),
+                            optional integer ``"jobs"`` (capped at the
+                            daemon's) → ``202 {"campaign": id, "total": n}``
 ``GET  /campaigns``         status summaries of every journaled campaign
 ``GET  /campaigns/<id>``    one campaign's journal status
 ``GET  /campaigns/<id>/events``  ``text/event-stream`` of the campaign's
@@ -21,8 +22,10 @@ Endpoints (JSON unless noted):
 ==========================  =============================================
 
 Campaigns survive the daemon: the journal + store are the state, the
-feed is only a live view. Tailing a campaign from a previous daemon
-process replays its events from the journal (summaries only — the
+feed is only a live view. The daemon keeps the feeds of running
+campaigns and of the :data:`CLOSED_FEEDS_KEPT` most recently finished
+ones. Tailing any other campaign, including one from a previous daemon
+process, replays its events from the journal (summaries only — the
 stats come back from the store) and ends with the same ``summary``
 event a live tail would see; an interrupted campaign's replay ends
 with an ``end`` event instead, naming the states left behind — that is
@@ -31,17 +34,23 @@ the signal to ``campaign resume`` it.
 
 from __future__ import annotations
 
+import collections
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.campaign.journal import CampaignRun, list_campaigns
+from repro.campaign.journal import CampaignRun, campaigns_dir, list_campaigns
 from repro.campaign.scheduler import submit_campaign
 from repro.campaign.store import ResultStore
 from repro.errors import CampaignError, ReproError
 from repro.serve.payload import event_payload, specs_from_payload
+
+#: Finished campaigns whose feeds stay in memory for late subscribers.
+#: Older ones are dropped, so the daemon's memory does not grow with
+#: its campaign history; their tails replay from the journal.
+CLOSED_FEEDS_KEPT = 16
 
 
 class CampaignFeed:
@@ -94,6 +103,7 @@ class ServeApp:
         self.retries = retries
         self.backoff_s = backoff_s
         self.feeds: Dict[str, CampaignFeed] = {}
+        self._closed: Deque[str] = collections.deque()  # oldest first
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ submit
@@ -104,7 +114,7 @@ class ServeApp:
         feed = CampaignFeed()
         scheduler = submit_campaign(
             specs, self.store,
-            jobs=int(payload.get("jobs") or self.jobs),
+            jobs=self._jobs(payload.get("jobs")),
             timeout_s=self.timeout_s, retries=self.retries,
             backoff_s=self.backoff_s,
             on_event=lambda ev: feed.publish(event_payload(ev)))
@@ -118,6 +128,7 @@ class ServeApp:
             except BaseException as exc:   # surface, never kill the daemon
                 feed.publish({"event": "error", "error": repr(exc)})
             finally:
+                self._retire(campaign_id)
                 feed.close()
 
         thread = threading.Thread(target=drive, daemon=True,
@@ -125,6 +136,26 @@ class ServeApp:
         thread.start()
         return {"campaign": campaign_id, "total": len(specs),
                 "keys": [spec.cache_key() for spec in specs]}
+
+    def _jobs(self, requested: object) -> int:
+        """Worker processes for one campaign: the POSTed ``jobs``,
+        capped at the daemon's own ``jobs``; the latter when absent."""
+        if requested is None:
+            return self.jobs
+        if isinstance(requested, bool) or not isinstance(requested, int):
+            raise CampaignError(
+                f"'jobs' must be an integer, got {requested!r}")
+        if requested < 1:
+            raise CampaignError(f"'jobs' must be at least 1, got {requested}")
+        return min(requested, self.jobs)
+
+    def _retire(self, campaign_id: str) -> None:
+        """Mark a campaign's feed closed; forget the oldest closed feeds
+        beyond :data:`CLOSED_FEEDS_KEPT`."""
+        with self._lock:
+            self._closed.append(campaign_id)
+            while len(self._closed) > CLOSED_FEEDS_KEPT:
+                self.feeds.pop(self._closed.popleft(), None)
 
     # ------------------------------------------------------------ events
 
@@ -143,13 +174,12 @@ class ServeApp:
         events: List[Dict[str, object]] = [
             {"event": "plan", "done": 0, "total": total}]
         done = 0
-        hits = 0
         for job in run.jobs:
             if job.state == "done":
                 done += 1
-                hits += 1
                 event = {"event": "result", "done": done, "total": total,
-                         "key": job.key, "source": "store"}
+                         "label": job.label, "key": job.key,
+                         "source": job.source}
                 record = self.store._read(job.key)
                 if record is not None:
                     from repro.core.stats import SimStats
@@ -175,8 +205,10 @@ class ServeApp:
                                "error": job.error})
         counts = run.state_counts()
         if run.complete:
+            # The counters the scheduler journaled with its last pass.
             events.append({"event": "summary", "done": done, "total": total,
-                           "hits": hits, "executed": 0,
+                           "hits": run.counters.get("hits", 0),
+                           "executed": run.counters.get("executed", 0),
                            "quarantined": counts["quarantined"],
                            "elapsed_s": 0.0, "replayed": True})
         else:
@@ -187,9 +219,12 @@ class ServeApp:
     # ------------------------------------------------------------- reads
 
     def health(self) -> Dict[str, object]:
+        # Count journal files, not replays: /healthz stays cheap as the
+        # campaign history grows.
+        journals = campaigns_dir(self.store.root).glob("*.jsonl")
         return {"ok": True, "store": str(self.store.root),
                 "records": len(self.store),
-                "campaigns": len(list_campaigns(self.store.root))}
+                "campaigns": sum(1 for _ in journals)}
 
     def campaigns(self) -> List[Dict[str, object]]:
         return list_campaigns(self.store.root)
@@ -206,7 +241,14 @@ class ServeApp:
                    for name, values in query.items()
                    if name in ("kind", "bench", "code", "engine", "gov",
                                "mem", "key") and values}
-        limit = int(query.get("limit", ["0"])[0] or 0)
+        raw = query.get("limit", ["0"])[0] or "0"
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise CampaignError(
+                f"limit must be an integer, got {raw!r}") from None
+        if limit < 0:
+            raise CampaignError(f"limit must be at least 0, got {limit}")
         return self.store.query(limit=limit, **filters)
 
 
@@ -257,7 +299,9 @@ class ServeHandler(BaseHTTPRequestHandler):
             else:
                 self._error(404, f"no route for {url.path}")
         except CampaignError as exc:
-            self._error(404, str(exc))
+            # A GET's CampaignError names an unknown campaign, except on
+            # /results, where it is a malformed query.
+            self._error(400 if parts == ["results"] else 404, str(exc))
         except ReproError as exc:
             self._error(400, str(exc))
         except BrokenPipeError:

@@ -2,12 +2,15 @@
 parallel determinism, and the ExperimentContext cache-key fix."""
 
 import json
+import pickle
+from dataclasses import asdict
 
 import pytest
 
 from repro.campaign import ResultStore, RunSpec, Sweep, dedup, run_campaign
 from repro.campaign.spec import code_fingerprint
-from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig
+from repro.core.config import ClockPlan, CoreConfig, FlywheelConfig, stable_hash
+from repro.frontend.bpred import BPredConfig
 from repro.core.sim import SimResult, run_baseline, run_flywheel
 from repro.errors import CampaignError, WorkloadError
 
@@ -99,6 +102,36 @@ class TestRunSpec:
         assert fly_var == {"fly.ec_kb": 64, "fly.use_srt": False}
         assert "iw_entries=64" in spec(
             config=CoreConfig(iw_entries=64)).label
+        bpred = BPredConfig(history_bits=10)
+        assert spec(config=CoreConfig(bpred=bpred)).variant() == {
+            "bpred": asdict(bpred)}
+
+    def test_cache_key_memo_follows_code_fingerprint(self, monkeypatch):
+        s = spec(seed=5)
+        key = s.cache_key()
+        monkeypatch.setattr("repro.campaign.spec.code_fingerprint",
+                            lambda: "feedc0de0000")
+        payload = s.payload()
+        payload["code"] = "feedc0de0000"
+        assert s.cache_key() == stable_hash(payload, length=40) != key
+        monkeypatch.undo()
+        assert s.cache_key() == key
+
+    def test_memoized_identity_survives_pickling(self, monkeypatch):
+        # Specs reach executor workers pickled, memo included.
+        s = spec(kind="flywheel", clock=ClockPlan(fe_speedup=0.5), seed=3)
+        key, label = s.cache_key(), s.label
+        clone = pickle.loads(pickle.dumps(s))
+        assert clone == s and hash(clone) == hash(s)
+        assert clone.cache_key() == key and clone.label == label
+        # A memo made under another code fingerprint is recomputed.
+        monkeypatch.setattr("repro.campaign.spec.code_fingerprint",
+                            lambda: "feedc0de0000")
+        foreign = spec(seed=4)
+        foreign.cache_key()
+        blob = pickle.dumps(foreign)
+        monkeypatch.undo()
+        assert pickle.loads(blob).cache_key() == spec(seed=4).cache_key()
 
     def test_round_trip_through_dict(self):
         s = spec(kind="flywheel", clock=ClockPlan(fe_speedup=0.25),

@@ -1,6 +1,7 @@
 """Resumable scheduler: journal replay, retry/backoff, quarantine,
 per-job timeout, and crash-resume equivalence."""
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from repro.campaign import (
     CampaignRun,
+    CampaignScheduler,
     ResultStore,
     RunSpec,
     list_campaigns,
@@ -201,7 +203,55 @@ class TestCrashResume:
         assert [j.state for j in reloaded.jobs] == ["pending", "pending"]
 
 
+#: SHA-256 of a journal header and of store records (minus wall-clock
+#: fields and results) for ``pinned_specs()`` under a fixed code
+#: fingerprint, campaign id and clock. Captured before spec identities
+#: were memoized; the bytes on disk must not change.
+PINNED_HEADER = (
+    "15d2a9c7daabfb1f2b1658d67e4a741a3db9e9fade518e91671d17eb0430f0b2")
+PINNED_RECORDS = {
+    "2ffe50556832e722b884311f8e3114e2f069fcbc":
+        "0a54907d5af5b7a126faa7e696054b6843856d69daf25f380b197ef9d12f0e96",
+    "a304c95528794c0e91049291c8fa94a2fa0fb2c4":
+        "5995667a071cc067c62614850319a23af20c38683543ade5e264b9b361c5c6e8",
+    "5d34c652139f6de5d58cf59934fc72896935d468":
+        "3e0f655d1f0dca30608b7141c47f80fc27a22ebb36df4990f20fad7a894b81da",
+}
+
+
+def pinned_specs():
+    from repro.core.config import ClockPlan, CoreConfig
+
+    return [spec(seed=1),
+            spec(kind="flywheel", clock=ClockPlan(fe_speedup=0.5)),
+            spec(config=CoreConfig(iw_entries=64), mem_scale=2.0)]
+
+
 class TestJournal:
+    def test_header_and_records_keep_their_bytes(self, tmp_path,
+                                                 monkeypatch):
+        for module in ("repro.campaign.spec", "repro.campaign.store"):
+            monkeypatch.setattr(f"{module}.code_fingerprint",
+                                lambda: "feedc0de0000")
+        store = ResultStore(tmp_path)
+        with monkeypatch.context() as clock:
+            clock.setattr(time, "time", lambda: 1000.0)
+            run = CampaignRun.create(store.root, pinned_specs(),
+                                     campaign_id="pinned",
+                                     options={"jobs": 1})
+        header = run.path.read_bytes().splitlines()[0]
+        assert hashlib.sha256(header).hexdigest() == PINNED_HEADER
+        report = CampaignScheduler(run, store).execute()
+        digests = {}
+        for key, result in report.results.items():
+            record = json.loads(store._path(key).read_text())
+            assert record["result"] == result.to_dict()
+            fixed = {name: value for name, value in record.items()
+                     if name not in ("created", "elapsed_s", "result")}
+            digests[key] = hashlib.sha256(json.dumps(
+                fixed, sort_keys=True).encode()).hexdigest()
+        assert digests == PINNED_RECORDS
+
     def test_create_rejects_empty_and_duplicate(self, tmp_path):
         with pytest.raises(CampaignError):
             CampaignRun.create(tmp_path, [])

@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.campaign import ResultStore, RunSpec
+from repro.campaign import CampaignRun, ResultStore, RunSpec
 from repro.errors import CampaignError
 from repro.serve import ServeApp, ServeClient, make_server
 from repro.serve.payload import event_payload, specs_from_payload
@@ -91,10 +91,18 @@ class TestPayload:
 
 
 class TestService:
-    def test_healthz(self, service):
+    def test_healthz(self, service, monkeypatch):
         _, client = service
         health = client.health()
         assert health["ok"] is True and health["records"] == 0
+        cid = client.submit(SWEEP)["campaign"]
+        list(client.events(cid))
+
+        def replay(*args, **kwargs):
+            raise AssertionError("/healthz replayed a journal")
+
+        monkeypatch.setattr(CampaignRun, "load", replay)
+        assert client.health()["campaigns"] == 1
 
     def test_submit_tail_results_lifecycle(self, service):
         app, client = service
@@ -131,6 +139,9 @@ class TestService:
 
     def test_replay_after_feed_is_gone(self, service):
         app, client = service
+        # Half the sweep is stored first: the campaign mixes hits and runs.
+        list(client.events(
+            client.submit(dict(SWEEP, clocks=[400]))["campaign"]))
         cid = client.submit(SWEEP)["campaign"]
         live = list(client.events(cid))
         app.feeds.clear()              # daemon restarted, journal remains
@@ -145,6 +156,59 @@ class TestService:
         replay_stats = sorted(json.dumps(d["stats"], sort_keys=True)
                               for k, d in replay if k == "result")
         assert live_stats == replay_stats
+
+        def sources(events):
+            return {d["key"]: (d["source"], d["label"])
+                    for k, d in events if k == "result"}
+
+        assert sorted(s for s, _ in sources(live).values()) == [
+            "run", "run", "store", "store"]
+        assert sources(replay) == sources(live)
+
+        def counters(summary):
+            return {name: value for name, value in summary.items()
+                    if name not in ("elapsed_s", "replayed")}
+
+        assert counters(replay[-1][1]) == counters(live[-1][1])
+
+    def test_closed_feeds_are_bounded(self, service, monkeypatch):
+        monkeypatch.setattr("repro.serve.app.CLOSED_FEEDS_KEPT", 2)
+        app, client = service
+        cids = []
+        for _ in range(4):
+            cids.append(client.submit(SWEEP)["campaign"])
+            list(client.events(cids[-1]))
+        assert sorted(app.feeds) == sorted(cids[-2:])
+        # An evicted campaign's tail replays from its journal.
+        replay = list(client.events(cids[0]))
+        assert replay[-1][0] == "summary" and replay[-1][1]["replayed"]
+        assert replay[-1][1]["executed"] == 4
+
+    def test_submit_hashes_each_spec_once(self, service, monkeypatch):
+        import repro.campaign.spec as spec_module
+
+        hashes = []
+        stable_hash = spec_module.stable_hash
+
+        def counted(*args, **kwargs):
+            hashes.append(args)
+            return stable_hash(*args, **kwargs)
+
+        monkeypatch.setattr(spec_module, "stable_hash", counted)
+        _, client = service
+        response = client.submit(SWEEP)
+        events = list(client.events(response["campaign"]))
+        assert events[-1][1]["executed"] == 4
+        # Journal, response keys and every SSE event share one key each.
+        assert len(hashes) == len(response["keys"]) == 4
+
+    def test_posted_jobs_capped_at_daemon_jobs(self, service):
+        app, client = service
+        for asked, used in ((64, app.jobs), (1, 1)):
+            cid = client.submit(dict(SWEEP, jobs=asked))["campaign"]
+            list(client.events(cid))
+            run = CampaignRun.load(app.store.root, cid)
+            assert run.options["jobs"] == used
 
     def test_error_statuses(self, service):
         _, client = service
@@ -167,6 +231,16 @@ class TestService:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{base}/nope")
         assert err.value.code == 404
+        # Malformed numbers are the client's error, not a dropped
+        # connection, and a rejected POST journals nothing.
+        for jobs in ("many", 2.5, True, 0, -3):
+            with pytest.raises(CampaignError, match="HTTP 400"):
+                client.submit(dict(SWEEP, jobs=jobs))
+        for limit in ("abc", "-1"):
+            with pytest.raises(urllib.error.HTTPError) as err:
+                urllib.request.urlopen(f"{base}/results?limit={limit}")
+            assert err.value.code == 400
+        assert client.campaigns() == []
 
     def test_sse_wire_format(self, service):
         _, client = service
