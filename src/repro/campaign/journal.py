@@ -132,9 +132,11 @@ class CampaignRun:
             raise CampaignError(
                 f"campaign {campaign_id!r} already exists at {path}")
         created = time.time()
-        jobs = [JobEntry(index=i, payload=s.to_dict(), key=s.cache_key(),
-                         parsed=s)
-                for i, s in enumerate(specs)]
+        jobs = []
+        for i, spec in enumerate(specs):
+            payload = spec.to_dict()          # built once: header and key
+            jobs.append(JobEntry(index=i, payload=payload,
+                                 key=spec.cache_key(payload), parsed=spec))
         header = {
             "journal": JOURNAL_SCHEMA,
             "campaign": campaign_id,

@@ -18,6 +18,14 @@ survives everything short of the host catching fire:
   fact, so ``campaign resume <id>`` (→ :func:`resume_campaign`) rebuilds
   the remaining work from the journal + store alone after a SIGKILL.
 
+A pass runs in three phases: classify every job by whether its store
+record exists (a ``stat``, no parse), fork the misses into the free
+worker slots, then read and emit the store hits while those workers
+run; the pool loop then collects completions and refills the slots.
+Events therefore arrive as ``plan``, every hit's ``result``, each
+run's ``result``, ``summary``, and a miss's ``running`` journal line
+may precede the hits' ``done`` lines.
+
 Progress surfaces as :class:`~repro.session.SessionEvent` s — the same
 ``plan``/``result``/``summary`` schema ``Session.stream`` yields, plus
 ``quarantine`` — which is what the serve daemon bridges onto SSE.
@@ -139,6 +147,10 @@ def _worker(payload: Dict[str, object], index: int,
         out.put(("err", index, traceback.format_exc(), 0.0))
 
 
+#: A job waiting for a worker slot: (not_before, job, spec, attempt).
+_Waiting = Tuple[float, JobEntry, RunSpec, int]
+
+
 @dataclass
 class _Flight:
     """One in-flight worker process."""
@@ -193,49 +205,34 @@ class CampaignScheduler:
     def execute(self) -> ScheduleReport:
         """Drive the campaign to completion (or total quarantine).
 
-        Store hits resolve first (including jobs a previous, crashed
-        pass already simulated — that is what makes resume cheap), then
-        the misses stream through the worker pool. Raises only for
-        *scheduler* faults (e.g. a ``dispatch_hook`` crash-injection);
-        job failures end in quarantine, not an exception.
+        Jobs are classified by record existence alone (one ``stat``
+        each, nothing parsed), the misses fill the worker slots, and
+        only then are the store hits read and emitted, while those
+        workers run. Hits include jobs a previous, crashed pass already
+        simulated — that is what makes resume cheap. Existence is only
+        a hint: a record that does not parse is simulated like any
+        other miss. Raises only for *scheduler* faults (e.g. a
+        ``dispatch_hook`` crash-injection); job failures end in
+        quarantine, not an exception.
         """
         t0 = time.monotonic()
         report = ScheduleReport(campaign_id=self.run.campaign_id,
                                 jobs=self.jobs)
         total = len(self.run.jobs)
-        done = 0
         self._emit(_event(event="plan", total=total))
 
-        # Phase 1: resolve everything the store already has. On resume
-        # this covers both previously-done jobs and records some other
-        # campaign happened to produce — the store is the truth.
-        misses: List[JobEntry] = []
+        # The store is the truth: on resume its records cover both
+        # previously-done jobs and records another campaign produced.
+        # Quarantined jobs ride with the presumed hits, so the hit pass
+        # counts them in job order.
+        stored: List[JobEntry] = []
+        waiting: List[_Waiting] = []
         for job in self.run.jobs:
-            if job.state == "quarantined":
-                done += 1
-                report.quarantined.append(
-                    {"key": job.key, "error": job.error,
-                     "label": job.label})
-                continue
-            cached = self.store.get(job.key)
-            if cached is not None:
-                if job.state != "done":
-                    self.run.record(job.index, "done", source="store")
-                report.results[job.key] = cached
-                report.hits += 1
-                done += 1
-                self._emit(_event(
-                    event="result", spec=self._spec_of(job), result=cached,
-                    source="store", done=done, total=total))
+            if job.state == "quarantined" or job.key in self.store:
+                stored.append(job)
             else:
-                if job.state == "done":
-                    # Journal says done but the record vanished (store
-                    # cleaned between passes): owe the work again.
-                    job.state = "pending"
-                misses.append(job)
-
-        if misses:
-            done = self._drain(misses, report, done, total)
+                waiting.append(self._owed(job))
+        done = self._drain(stored, waiting, report, total)
 
         report.elapsed_s = time.monotonic() - t0
         self.run.record_complete(hits=report.hits, executed=report.executed,
@@ -247,39 +244,37 @@ class CampaignScheduler:
             elapsed_s=report.elapsed_s))
         return report
 
-    def _drain(self, misses: List[JobEntry], report: ScheduleReport,
-               done: int, total: int) -> int:
-        """The pool loop: keep ≤ ``jobs`` processes in flight, collect
-        completions as they land, retry/quarantine failures."""
-        ctx = multiprocessing.get_context()
-        out: "multiprocessing.Queue" = ctx.Queue()
-        #: (not_before, job, spec, attempt) — jobs waiting for a slot.
-        waiting: List[Tuple[float, JobEntry, RunSpec, int]] = [
-            (0.0, job, self._spec_of(job), job.attempts + 1)
-            for job in misses]
+    def _drain(self, stored: List[JobEntry], waiting: List[_Waiting],
+               report: ScheduleReport, total: int) -> int:
+        """Fork the waiting jobs, run the hit pass over ``stored`` while
+        they simulate, then keep the slots filled and collect
+        completions until nothing is owed; returns the jobs done."""
+        out = multiprocessing.get_context().Queue()
         flights: Dict[int, _Flight] = {}
+        done = 0
         try:
+            self._fill(out, waiting, flights)
+            for job in stored:
+                if job.state == "quarantined":
+                    done += 1
+                    report.quarantined.append(
+                        {"key": job.key, "error": job.error,
+                         "label": job.label})
+                    continue
+                cached = self.store.get(job.key)
+                if cached is None:        # torn, foreign or damaged record
+                    waiting.append(self._owed(job))
+                    continue
+                if job.state != "done":
+                    self.run.record(job.index, "done", source="store")
+                report.results[job.key] = cached
+                report.hits += 1
+                done += 1
+                self._emit(_event(
+                    event="result", spec=self._spec_of(job), result=cached,
+                    source="store", done=done, total=total))
             while waiting or flights:
-                now = time.monotonic()
-                # Fill free slots with jobs whose backoff has elapsed.
-                ready = [w for w in waiting if w[0] <= now]
-                while ready and len(flights) < self.jobs:
-                    entry = ready.pop(0)
-                    waiting.remove(entry)
-                    _nb, job, spec, attempt = entry
-                    if self.dispatch_hook is not None:
-                        self.dispatch_hook(spec, job.index, attempt)
-                    process = ctx.Process(
-                        target=_worker,
-                        args=(job.payload, job.index, out,
-                              self.worker_hook),
-                        daemon=True)
-                    process.start()
-                    self.run.record(job.index, "running", attempt=attempt)
-                    deadline = (now + self.timeout_s
-                                if self.timeout_s else None)
-                    flights[job.index] = _Flight(job, spec, attempt,
-                                                 process, deadline)
+                self._fill(out, waiting, flights)
                 done = self._collect(out, flights, waiting, report,
                                      done, total)
         except BaseException:
@@ -291,6 +286,36 @@ class CampaignScheduler:
                 flight.process.terminate()
             raise
         return done
+
+    def _owed(self, job: JobEntry) -> _Waiting:
+        """A waiting-list entry for a job the store cannot answer."""
+        if job.state == "done":
+            # Journal says done but the record vanished (store cleaned
+            # between passes) or no longer parses: owe the work again.
+            job.state = "pending"
+        return (0.0, job, self._spec_of(job), job.attempts + 1)
+
+    def _fill(self, out, waiting: List[_Waiting],
+              flights: Dict[int, _Flight]) -> None:
+        """Dispatch waiting jobs whose backoff has elapsed into the free
+        worker slots (at most ``jobs`` in flight)."""
+        now = time.monotonic()
+        ready = [w for w in waiting if w[0] <= now]
+        while ready and len(flights) < self.jobs:
+            entry = ready.pop(0)
+            waiting.remove(entry)
+            _nb, job, spec, attempt = entry
+            if self.dispatch_hook is not None:
+                self.dispatch_hook(spec, job.index, attempt)
+            process = multiprocessing.get_context().Process(
+                target=_worker,
+                args=(job.payload, job.index, out, self.worker_hook),
+                daemon=True)
+            process.start()
+            self.run.record(job.index, "running", attempt=attempt)
+            deadline = now + self.timeout_s if self.timeout_s else None
+            flights[job.index] = _Flight(job, spec, attempt, process,
+                                         deadline)
 
     def _collect(self, out, flights: Dict[int, _Flight],
                  waiting, report: ScheduleReport,

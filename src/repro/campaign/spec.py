@@ -176,19 +176,21 @@ class RunSpec:
             "mem_scale": self.mem_scale,
         }
 
-    def cache_key(self) -> str:
+    def cache_key(self,
+                  payload: Optional[Dict[str, object]] = None) -> str:
         """Content address: spec payload + simulator code fingerprint.
 
         Memoized on the spec next to the fingerprint it was computed
         under: a spec is frozen, so only the fingerprint can change its
         key, and a different fingerprint recomputes it. The memo rides
-        along when a spec is pickled into a worker.
+        along when a spec is pickled into a worker. A caller that
+        already holds :meth:`payload` passes it to skip rebuilding it;
+        it is not modified.
         """
         code = code_fingerprint()
         memo = self.__dict__.get("_key_memo")
         if memo is None or memo[0] != code:
-            payload = self.payload()
-            payload["code"] = code
+            payload = dict(payload or self.payload(), code=code)
             memo = (code, stable_hash(payload, length=40))
             object.__setattr__(self, "_key_memo", memo)
         return memo[1]

@@ -22,7 +22,11 @@ correct by construction; the speedup comes from the fused tick loop in
 Pools grow in chunks on demand and are cached across runs keyed by
 (program identity, stream seed, predictor config): a best-of-N
 benchmark repeat or a config sweep over one benchmark re-simulates the
-timing, not the program.
+timing, not the program.  A growth step builds what is missing, at
+least as many rows as are already built (so repeated small requests
+stay amortized) and ``MIN_STEP``, and at most ``CHUNK``: a short run
+builds about the rows it reads, and a pool past ``CHUNK`` rows grows
+in whole chunks.  The columns do not depend on the step sizes.
 
 :class:`RenamePlan` is the per-run companion: dest/src physical tags
 for the timed instruction range.  It is per-run because it depends on
@@ -60,6 +64,9 @@ _STORE = int(OpClass.STORE)
 #: always holds, i.e. an unknown next branch reads as "no branch within
 #: any fetch group that ends inside the generated region".
 NB_SENTINEL = 1 << 62
+
+#: Smallest growth step of a pool or rename plan.
+MIN_STEP = 256
 
 
 class StreamPool:
@@ -124,9 +131,9 @@ class StreamPool:
     def ensure(self, n: int) -> None:
         """Grow the pool until it covers at least ``n`` instructions."""
         while self.n < n:
-            self._grow()
+            self._grow(_step(self.CHUNK, n - self.n, self.n))
 
-    def _grow(self) -> None:
+    def _grow(self, size: int) -> None:
         next_instr = self._stream.next_instr
         predict = self._bpred.predict
         ops = self.op
@@ -143,7 +150,7 @@ class StreamPool:
         taken = self.taken
         target_pc = self.target_pc
         fall_pc = self.fall_pc
-        for _ in range(self.CHUNK):
+        for _ in range(size):
             dyn = next_instr()
             ops.append(dyn.op)
             pc.append(dyn.pc)
@@ -231,10 +238,10 @@ class RenamePlan:
 
     def ensure(self, n: int) -> None:
         while self.n < n:
-            self._grow()
+            self._grow(_step(self.CHUNK, n - self.n, self.n - self.start))
 
-    def _grow(self) -> None:
-        stop = self.n + self.CHUNK
+    def _grow(self, size: int) -> None:
+        stop = self.n + size
         pool = self._pool
         pool.ensure(stop)
         reg_map = self._map
@@ -266,6 +273,12 @@ class RenamePlan:
             del free[:head]
         self._free_head = 0
         self.n = stop
+
+
+def _step(chunk: int, missing: int, built: int) -> int:
+    """Rows the next growth step builds: the ``missing`` ones, at least
+    the ``built`` ones and :data:`MIN_STEP`, at most ``chunk``."""
+    return min(chunk, max(MIN_STEP, missing, built))
 
 
 class PooledOracle:

@@ -55,6 +55,11 @@ from repro.mem.hierarchy import MemoryHierarchy
 #: bounded by the ROB, which no config exceeds by this margin.
 _DONE_SLACK = 4096
 
+#: Rows past the budget the up-front rename plan covers: about how far
+#: fetch runs ahead of commit with a default-sized ROB. A run that
+#: fetches further grows the plan from the fetch stage.
+_FETCH_AHEAD = 512
+
 
 def run_turbo_sync(core, max_instructions: int, warmup: int = 0,
                    prof=None):
@@ -98,7 +103,9 @@ def run_turbo_sync(core, max_instructions: int, warmup: int = 0,
 
     r0 = s0 + warmup                   # first timed seq
     plan = pool.plan(r0, config.phys_regs)
-    plan.ensure(r0 + plan.CHUNK)
+    # Up front, cover the budget plus what fetch can run ahead of commit;
+    # the fetch stage grows the plan on demand past that.
+    plan.ensure(r0 + min(plan.CHUNK, max_instructions + _FETCH_AHEAD))
 
     # ---- pool columns (absolute seq index; stable list identities) ----
     p_pc = pool.pc

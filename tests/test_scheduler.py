@@ -203,6 +203,87 @@ class TestCrashResume:
         assert [j.state for j in reloaded.jobs] == ["pending", "pending"]
 
 
+def _truncate(record):
+    return json.dumps(record)[:40]           # a torn write: invalid JSON
+
+
+def _foreign_schema(record):
+    return json.dumps(dict(record, schema=99))
+
+
+def _damaged_result(record):
+    return json.dumps(dict(record, result={"stats": "garbage"}))
+
+
+class TestPhaseOrder:
+    """Misses fork first, then the hit pass runs while they simulate."""
+
+    def test_misses_dispatch_before_the_first_store_read(self, tmp_path,
+                                                         monkeypatch):
+        store = ResultStore(tmp_path)
+        jobs = specs(4)
+        submit_campaign(jobs[::2], store, jobs=2).execute()
+        calls = []
+        get = ResultStore.get
+
+        def counted_get(self, key):
+            calls.append("get")
+            return get(self, key)
+
+        monkeypatch.setattr(ResultStore, "get", counted_get)
+        report = submit_campaign(
+            jobs, store, jobs=2,
+            dispatch_hook=lambda *args: calls.append("dispatch")).execute()
+        assert report.hits == 2 and report.executed == 2
+        assert calls.index("dispatch") < calls.index("get")
+
+    def test_mixed_campaign_event_order(self, tmp_path):
+        store = ResultStore(tmp_path)
+        jobs = specs(4)
+        submit_campaign(jobs[1::2], store, jobs=2).execute()
+        events = []
+        report = submit_campaign(jobs, store, jobs=2,
+                                 on_event=events.append).execute()
+        assert [e.event for e in events] == (
+            ["plan"] + ["result"] * 4 + ["summary"])
+        results = events[1:-1]
+        # Every hit, in job order, before any run's result.
+        assert [(e.source, e.done) for e in results] == [
+            ("store", 1), ("store", 2), ("run", 3), ("run", 4)]
+        assert [e.spec for e in results[:2]] == jobs[1::2]
+        assert {e.spec for e in results[2:]} == set(jobs[::2])
+        summary = events[-1]
+        assert (summary.done, summary.total, summary.hits,
+                summary.executed, summary.quarantined) == (4, 4, 2, 2, 0)
+        assert (report.hits, report.executed, report.retried) == (2, 2, 0)
+
+    @pytest.mark.parametrize("damage", [_truncate, _foreign_schema,
+                                        _damaged_result])
+    def test_unreadable_record_is_simulated_not_a_hit(self, tmp_path,
+                                                      damage):
+        store = ResultStore(tmp_path)
+        jobs = specs(3)
+        clean = submit_campaign(jobs, store, jobs=2).execute()
+        key = jobs[1].cache_key()
+        path = store._path(key)
+        path.write_text(damage(json.loads(path.read_text())))
+        assert key in store                  # exists, but does not parse
+
+        events = []
+        scheduler = submit_campaign(jobs, store, jobs=2,
+                                    on_event=events.append)
+        report = scheduler.execute()
+        assert (report.hits, report.executed) == (2, 1)
+        sources = [(e.spec.cache_key(), e.source) for e in events
+                   if e.event == "result"]
+        assert [source for k, source in sources if k == key] == ["run"]
+        assert events[-1].hits == 2 and events[-1].executed == 1
+        run = CampaignRun.load(store.root, scheduler.run.campaign_id)
+        assert run.jobs[1].state == "done" and run.jobs[1].source == "run"
+        assert store.get(key) is not None    # the record was rewritten
+        assert report.stats_payload() == clean.stats_payload()
+
+
 #: SHA-256 of a journal header and of store records (minus wall-clock
 #: fields and results) for ``pinned_specs()`` under a fixed code
 #: fingerprint, campaign id and clock. Captured before spec identities

@@ -137,6 +137,25 @@ class TestService:
         summary = list(client.events(second["campaign"]))[-1][1]
         assert summary["hits"] == 4 and summary["executed"] == 0
 
+    def test_mixed_campaign_event_order(self, service):
+        _, client = service
+        # The 400 MHz half is stored: the 600 MHz half forks first, and
+        # its results still arrive after both hits.
+        list(client.events(
+            client.submit(dict(SWEEP, clocks=[400]))["campaign"]))
+        events = list(client.events(client.submit(SWEEP)["campaign"]))
+        assert [k for k, _ in events] == (
+            ["plan"] + ["result"] * 4 + ["summary"])
+        results = [d for k, d in events if k == "result"]
+        assert [(d["source"], d["done"]) for d in results] == [
+            ("store", 1), ("store", 2), ("run", 3), ("run", 4)]
+        assert all("400MHz" in d["label"] for d in results[:2])
+        summary = events[-1][1]
+        assert {name: summary[name] for name in (
+            "done", "total", "hits", "executed", "quarantined")} == {
+            "done": 4, "total": 4, "hits": 2, "executed": 2,
+            "quarantined": 0}
+
     def test_replay_after_feed_is_gone(self, service):
         app, client = service
         # Half the sweep is stored first: the campaign mixes hits and runs.

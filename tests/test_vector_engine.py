@@ -106,7 +106,12 @@ class TestVectorNumpyGate:
 # and growth rules are load-bearing for correctness, not just speed).
 
 if HAVE_NUMPY:
-    from repro.core.engine.turbo.pool import _POOL_CACHE, StreamPool, get_pool
+    from repro.core.engine.turbo.pool import (
+        _POOL_CACHE,
+        RenamePlan,
+        StreamPool,
+        get_pool,
+    )
     from repro.frontend.bpred import BPredConfig
 
 
@@ -187,3 +192,69 @@ class TestStreamPoolCache:
         assert pool.n >= n100 + 500
         assert list(pool.pc[:50]) == head[0]
         assert list(pool.dest[:50]) == head[1]
+
+
+def _columns(obj):
+    """Every list column of a pool or plan, by attribute name."""
+    return {name: value for name, value in vars(obj).items()
+            if isinstance(value, list)}
+
+
+@turbo_required
+class TestPoolGrowthSchedule:
+    """Growth steps are a cost choice only: the columns a pool or plan
+    holds never depend on how they were grown."""
+
+    #: Odd step sizes: 1- and 7-row steps often hold no branch, so the
+    #: ``next_branch`` sentinel backfill crosses several step edges.
+    STEPS = (1, 7, 333, 1, 4099, 8192, 2500)
+
+    def setup_method(self):
+        _POOL_CACHE.clear()
+
+    def test_stream_pool_columns_ignore_the_schedule(self):
+        prog = generate_program(get_profile("gcc"))
+        stepped = StreamPool(prog, 3, BPredConfig())
+        for size in self.STEPS:
+            stepped._grow(size)
+        whole = StreamPool(prog, 3, BPredConfig())
+        whole._grow(sum(self.STEPS))
+        assert stepped.n == whole.n == sum(self.STEPS)
+        columns = _columns(whole)
+        assert {"next_branch", "pre_mem", "pre_store",
+                "pre_needs"} <= set(columns)
+        assert _columns(stepped) == columns
+        assert stepped._nb_pend == whole._nb_pend
+
+    def test_rename_plan_columns_ignore_the_schedule(self):
+        prog = generate_program(get_profile("gcc"))
+        pool = StreamPool(prog, 3, BPredConfig())
+        stepped = RenamePlan(pool, 500, 96)
+        for size in self.STEPS:
+            stepped._grow(size)
+        whole = RenamePlan(pool, 500, 96)
+        whole._grow(sum(self.STEPS))
+        assert stepped.n == whole.n == 500 + sum(self.STEPS)
+        assert _columns(stepped) == _columns(whole)
+
+    def test_ensure_builds_what_a_short_run_needs(self):
+        prog = generate_program(get_profile("gcc"))
+        pool = StreamPool(prog, 0, BPredConfig())
+        pool.ensure(2500)
+        assert pool.n == 2500
+        pool.ensure(2501)                  # at least doubles: amortized
+        assert pool.n == 5000
+        pool.ensure(100_000)               # past CHUNK: whole chunks
+        assert (pool.n - 5000) % StreamPool.CHUNK == 0
+
+    def test_short_turbo_run_builds_less_than_a_chunk(self):
+        config = CoreConfig(engine="turbo")
+        turbo = execute_kind("baseline", "gcc", config=config,
+                             max_instructions=2000, warmup=500)
+        (pool,) = _POOL_CACHE.values()
+        assert pool.n < StreamPool.CHUNK
+        (plan,) = pool._plans.values()
+        assert plan.n - plan.start < RenamePlan.CHUNK
+        legacy = execute_kind("baseline", "gcc", max_instructions=2000,
+                              warmup=500)
+        assert turbo.stats.to_dict() == legacy.stats.to_dict()
