@@ -16,9 +16,8 @@ the fresh measurement to a committed report and prints a per-kind
 delta table; ``--fail-on-regression PCT`` turns any slowdown beyond PCT
 percent into a non-zero exit for CI (omit it for report-only mode —
 cross-machine comparisons are informative, not gating). The gate covers
-the paired ``@turbo``/``@vector`` series and the speedup tables too,
-but report-only: engine warnings never fail the run, so NumPy-less
-runners (which skip the engine series entirely) stay green.
+the paired ``@turbo`` series and the speedup table too, but
+report-only: engine warnings never fail the run.
 ``--quick`` runs one repeat on a reduced budget with no history append,
 for the CI regression step and local iteration.
 
@@ -38,7 +37,6 @@ import time
 
 import pytest
 
-from repro.core.engine.turbo import HAVE_NUMPY
 from repro.core.registry import kind_names
 from repro.session import Session
 from repro.workloads import generate_program, get_profile
@@ -87,8 +85,6 @@ def test_baseline_sim_speed(benchmark):
     assert result.stats.committed >= 4000
 
 
-@pytest.mark.skipif(not HAVE_NUMPY,
-                    reason="turbo extra (NumPy) not installed")
 def test_baseline_sim_speed_turbo(benchmark):
     from repro.core.config import CoreConfig
 
@@ -112,18 +108,17 @@ def measure(benchmarks=BENCH_BENCHMARKS,
             instructions=BENCH_INSTRUCTIONS,
             warmup=BENCH_WARMUP,
             repeats=BENCH_REPEATS,
-            engines=("legacy", "turbo", "vector"),
+            engines=("legacy", "turbo"),
             membound_instructions=MEMBOUND_INSTRUCTIONS,
             membound_warmup=MEMBOUND_WARMUP) -> dict:
     """Best-of-``repeats`` cycles/sec and instrs/sec per kind/benchmark.
 
     ``engines`` is the backend axis: the legacy engine keeps the bare
     series name (``baseline/gcc``) so the cycles/sec trajectory across
-    PRs stays unbroken, the other engines append ``@<engine>``
-    (``baseline/gcc@turbo``, ``baseline/gcc@vector``). When an engine
-    pair runs, the report also carries per-engine speedup tables
-    (``turbo_speedup``/``vector_speedup``: engine / legacy
-    cycles-per-sec per series). Engine repeats share one instruction
+    PRs stays unbroken, the turbo engine appends ``@turbo``
+    (``baseline/gcc@turbo``). When both engines run, the report also
+    carries a ``turbo_speedup`` table (turbo / legacy cycles-per-sec
+    per series). Engine repeats share one instruction
     pool (by design — the pool is cross-run state), so best-of-repeats
     measures the warm path.
 
@@ -176,12 +171,9 @@ def measure(benchmarks=BENCH_BENCHMARKS,
         "python": sys.version.split()[0],
         "series": series,
     }
-    for engine in engines:
-        if engine == "legacy":
-            continue
-        speedups = engine_speedups(series, engine)
-        if speedups:
-            report[f"{engine}_speedup"] = speedups
+    speedups = turbo_speedups(series)
+    if speedups:
+        report["turbo_speedup"] = speedups
     return report
 
 
@@ -305,15 +297,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_core.json",
                         help="output path (default: ./BENCH_core.json)")
     parser.add_argument("--engine",
-                        choices=("legacy", "turbo", "vector", "both",
-                                 "all"),
-                        default="all",
-                        help="execution backend(s) to measure; 'all' "
+                        choices=("legacy", "turbo", "both"),
+                        default="both",
+                        help="execution backend(s) to measure; 'both' "
                              "(default) emits paired series "
-                             "(kind/bench, kind/bench@turbo and "
-                             "kind/bench@vector) plus per-engine "
-                             "speedup tables; 'both' is the historical "
-                             "legacy+turbo pair")
+                             "(kind/bench and kind/bench@turbo) plus "
+                             "the turbo speedup table")
     parser.add_argument("--repeats", type=int, default=BENCH_REPEATS)
     parser.add_argument("--quick", action="store_true",
                         help="one repeat on a reduced instruction "
@@ -357,22 +346,8 @@ def main(argv=None) -> int:
             if args.fail_on_regression is not None:
                 return 1
 
-    if args.engine == "all":
-        engines = ("legacy", "turbo", "vector")
-    elif args.engine == "both":
-        engines = ("legacy", "turbo")
-    else:
-        engines = (args.engine,)
-    if not HAVE_NUMPY and any(e != "legacy" for e in engines):
-        if args.engine in ("turbo", "vector"):
-            print(f"--engine {args.engine} requires NumPy "
-                  "(pip install 'repro[turbo]')", file=sys.stderr)
-            return 2
-        # Default 'all' degrades gracefully so the legacy trajectory
-        # is still measurable on a dependency-free checkout.
-        print("NumPy not installed: skipping engine series",
-              file=sys.stderr)
-        engines = ("legacy",)
+    engines = (("legacy", "turbo") if args.engine == "both"
+               else (args.engine,))
     if args.quick:
         report = measure(repeats=1, engines=engines,
                          instructions=QUICK_INSTRUCTIONS,
@@ -388,10 +363,8 @@ def main(argv=None) -> int:
     for name, row in sorted(report["series"].items()):
         print(f"{name:28s} {row['cycles_per_sec']:>9,} cycles/s "
               f"{row['instrs_per_sec']:>9,} instrs/s")
-    for eng in ("turbo", "vector"):
-        for name, ratio in sorted(report.get(f"{eng}_speedup",
-                                             {}).items()):
-            print(f"{name:28s} {eng} speedup {ratio:.2f}x")
+    for name, ratio in sorted(report.get("turbo_speedup", {}).items()):
+        print(f"{name:28s} turbo speedup {ratio:.2f}x")
     print(f"wrote {args.out}")
 
     if not args.no_history and not args.quick:
@@ -422,30 +395,24 @@ def main(argv=None) -> int:
     if committed is not None:
         rows = compare(report, committed)
         print_comparison(rows)
-        speedup_rows = []
-        for eng in ("turbo", "vector"):
-            eng_rows = compare_speedups(report, committed,
-                                        key=f"{eng}_speedup")
-            if not eng_rows:
-                continue
-            speedup_rows.extend(eng_rows)
-            print(f"\n{eng + ' speedup':28s} {'committed':>12s} "
+        speedup_rows = compare_speedups(report, committed)
+        if speedup_rows:
+            print(f"\n{'turbo speedup':28s} {'committed':>12s} "
                   f"{'fresh':>12s} {'delta':>8s}")
-            for row in eng_rows:
-                old = f"{row['old']:.2f}x" if row["old"] else "-"
-                new = f"{row['new']:.2f}x" if row["new"] else "-"
-                delta = (f"{row['delta_pct']:+7.1f}%"
-                         if row["delta_pct"] is not None else "      -")
-                print(f"{row['series']:28s} {old:>12s} {new:>12s} "
-                      f"{delta:>8s}")
+        for row in speedup_rows:
+            old = f"{row['old']:.2f}x" if row["old"] else "-"
+            new = f"{row['new']:.2f}x" if row["new"] else "-"
+            delta = (f"{row['delta_pct']:+7.1f}%"
+                     if row["delta_pct"] is not None else "      -")
+            print(f"{row['series']:28s} {old:>12s} {new:>12s} "
+                  f"{delta:>8s}")
         if args.fail_on_regression is not None:
             # The gate *fails* on the legacy series only: their
             # trajectory is the simulator-cost contract. The paired
             # ``@turbo`` series and the turbo_speedup table are covered
             # too, but report-only — turbo warnings never fail the run,
-            # so a NumPy-less runner (no ``@turbo`` series at all)
-            # stays green and cross-machine turbo ratios stay
-            # informative rather than gating.
+            # so cross-machine turbo ratios stay informative rather
+            # than gating.
             def is_turbo(name):
                 return "@" in name
             bad = [r for r in rows if r["delta_pct"] is not None

@@ -2,7 +2,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="0.7.0",
+    version="1.4.0",
     description=(
         "Cycle-level reproduction of Talpes & Marculescu, 'Multiple "
         "Speed Pipelines' (ISCA 2005): dual-clock Flywheel core with "
@@ -10,12 +10,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    # The core package is dependency-free by design (DESIGN.md). The
-    # turbo engine backend is the single optional NumPy consumer; when
-    # the extra is absent, CoreConfig(engine="turbo") raises the
-    # canonical ConfigError carrying this install hint.
+    # Dependency-free by design (DESIGN.md), both engines included.
     extras_require={
-        "turbo": ["numpy"],
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

@@ -87,7 +87,7 @@ from repro.workloads import (
     get_profile,
 )
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     # The front door.

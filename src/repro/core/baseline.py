@@ -135,11 +135,6 @@ class BaselineCore:
 
             return run_turbo_sync(self, max_instructions, warmup,
                                   prof=getattr(self, "_turbo_prof", None))
-        if engine == "vector":
-            from repro.core.engine.turbo.vector import run_vector_sync
-
-            return run_vector_sync(self, max_instructions, warmup,
-                                   prof=getattr(self, "_turbo_prof", None))
         if warmup:
             self._functional_warmup(warmup)
             if self.dvfs is not None:

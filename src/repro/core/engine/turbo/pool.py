@@ -12,7 +12,7 @@ order is commit order — program order again.
 The pool exploits that: it drives a *real* ``InstructionStream`` and a
 *real* ``BranchPredictor`` once, ahead of time, and stores the outcome
 as parallel columns indexed by ``seq`` — op class, pc, memory address,
-branch kind, predicted-correct flag — plus NumPy bulk gathers of the
+branch kind, predicted-correct flag — plus per-chunk gathers of the
 op-indexed tables (``EXEC_LATENCY_TAB``/``FU_KIND_TAB``/
 ``UNPIPELINED_TAB``) so per-instruction latency/unit lookups become
 plain list reads.  Reusing the real walker/predictor makes the pool
@@ -39,8 +39,6 @@ is tracked at run time with a single free-count integer.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.frontend.bpred import BranchPredictor
 from repro.isa import DynInstr
@@ -51,19 +49,6 @@ from repro.isa.opclasses import (
     OpClass,
 )
 from repro.workloads.stream import InstructionStream
-
-#: Op-indexed tables as NumPy arrays for the bulk per-chunk gathers.
-_LAT_TAB = np.asarray(EXEC_LATENCY_TAB, dtype=np.int64)
-_FU_TAB = np.asarray(FU_KIND_TAB, dtype=np.int64)
-_UNPIP_TAB = np.asarray(UNPIPELINED_TAB, dtype=bool)
-_LOAD = int(OpClass.LOAD)
-_STORE = int(OpClass.STORE)
-
-#: ``next_branch`` placeholder for rows with no branch at-or-after them
-#: among the generated rows.  Large enough that ``nb - s >= fetch_width``
-#: always holds, i.e. an unknown next branch reads as "no branch within
-#: any fetch group that ends inside the generated region".
-NB_SENTINEL = 1 << 62
 
 #: Smallest growth step of a pool or rename plan.
 MIN_STEP = 256
@@ -82,8 +67,7 @@ class StreamPool:
         self._stream = InstructionStream(program, seed)
         self._bpred = BranchPredictor(bpred_config)
         self.n = 0
-        # Python-list columns: O(1) unboxed scalar access in the fused
-        # loop (NumPy scalar indexing would allocate per read).
+        # Python-list columns: O(1) scalar access in the fused loop.
         self.op: list = []           # OpClass (enum; kept for .name)
         self.pc: list = []
         self.mem_addr: list = []     # int or None
@@ -107,15 +91,6 @@ class StreamPool:
         self.lat0: list = []         # EXEC_LATENCY_TAB[op]
         self.fu_kind: list = []      # FU_KIND_TAB[op]
         self.unpip: list = []        # UNPIPELINED_TAB[op]
-        # Vector-engine columns (see repro.core.engine.turbo.vector):
-        # next-branch index per row plus absolute prefix sums, built with
-        # NumPy per chunk so the vector loop consumes whole fetch groups
-        # and retire runs as O(1) column reads.
-        self.next_branch: list = []  # abs seq of next bkind!=0 row >= i
-        self.pre_mem: list = [0]     # prefix count of rows with mem_addr
-        self.pre_store: list = [0]   # prefix count of retire-path stores
-        self.pre_needs: list = [0]   # prefix count of renamed dests
-        self._nb_pend = 0            # first next_branch row still sentinel
         self._plans: dict = {}       # (start, phys_regs) -> RenamePlan
 
     def plan(self, start: int, phys_regs: int) -> "RenamePlan":
@@ -166,45 +141,16 @@ class StreamPool:
             taken.append(dyn.taken)
             target_pc.append(dyn.target_pc)
             fall_pc.append(dyn.fall_pc)
-        # Bulk table gathers: one vectorized pass per chunk replaces a
-        # per-instruction tuple index in the tick loop.
-        op_arr = np.asarray(ops[start:], dtype=np.int64)
-        self.lat0.extend(_LAT_TAB[op_arr].tolist())
-        self.fu_kind.extend(_FU_TAB[op_arr].tolist())
-        self.unpip.extend(_UNPIP_TAB[op_arr].tolist())
-        self.is_load.extend((op_arr == _LOAD).tolist())
-        self.is_store.extend((op_arr == _STORE).tolist())
+        # Table gathers: one pass per chunk replaces a per-instruction
+        # tuple index in the tick loop.
+        new = ops[start:]
+        load, store = OpClass.LOAD, OpClass.STORE
+        self.lat0.extend([EXEC_LATENCY_TAB[o] for o in new])
+        self.fu_kind.extend([FU_KIND_TAB[o] for o in new])
+        self.unpip.extend([UNPIPELINED_TAB[o] for o in new])
+        self.is_load.extend([o is load for o in new])
+        self.is_store.extend([o is store for o in new])
         self.n = len(ops)
-        # ---- vector-engine columns (one NumPy pass per chunk) ----
-        stop = self.n
-        m_arr = np.fromiter((a is not None for a in mem_addr[start:]),
-                            dtype=np.int64, count=stop - start)
-        s_arr = ((op_arr == _STORE) & (m_arr != 0)).astype(np.int64)
-        nd_arr = np.fromiter(
-            (d is not None and d != 0 for d in dest[start:]),
-            dtype=np.int64, count=stop - start)
-        self.pre_mem.extend((np.cumsum(m_arr) + self.pre_mem[-1]).tolist())
-        self.pre_store.extend(
-            (np.cumsum(s_arr) + self.pre_store[-1]).tolist())
-        self.pre_needs.extend(
-            (np.cumsum(nd_arr) + self.pre_needs[-1]).tolist())
-        # next_branch: first bkind!=0 row at or after i.  Rows past the
-        # chunk's last branch hold NB_SENTINEL until a later chunk's first
-        # branch backfills them (the pending region is always the tail).
-        b_idx = np.flatnonzero(np.asarray(bkind[start:], dtype=np.int64))
-        nb = np.full(stop - start, NB_SENTINEL, dtype=np.int64)
-        if b_idx.size:
-            pos = np.searchsorted(b_idx, np.arange(stop - start), "left")
-            hit = pos < b_idx.size
-            nb[hit] = b_idx[np.minimum(pos, b_idx.size - 1)][hit] + start
-        nb_col = self.next_branch
-        nb_col.extend(nb.tolist())
-        if b_idx.size:
-            first_b = start + int(b_idx[0])
-            pend = self._nb_pend
-            if pend < start:
-                nb_col[pend:start] = [first_b] * (start - pend)
-            self._nb_pend = start + int(b_idx[-1]) + 1
 
 
 class RenamePlan:

@@ -56,11 +56,6 @@ def make_snapshot(report: Dict[str, object], *, timestamp: float,
         "series": series,
         "turbo_speedup": dict(report.get("turbo_speedup") or {}),
     }
-    # The vector table is written only when present, so snapshots from
-    # legacy+turbo-only runs stay byte-compatible with older readers.
-    vector = dict(report.get("vector_speedup") or {})
-    if vector:
-        snap["vector_speedup"] = vector
     return snap
 
 
@@ -111,7 +106,9 @@ def load_history(path: Union[str, Path]) -> List[Dict[str, object]]:
 SPEEDUP_PREFIX = "turbo_speedup:"
 
 #: Every per-engine speedup table a snapshot may carry; each one gets a
-#: matching family of synthetic ``<table>:<base>`` series.
+#: matching family of synthetic ``<table>:<base>`` series.  New
+#: snapshots write only ``turbo_speedup``; ``vector_speedup`` is read so
+#: history lines from the removed vector engine still load and classify.
 SPEEDUP_TABLES = ("turbo_speedup", "vector_speedup")
 
 
@@ -138,9 +135,9 @@ def series_values(history: Sequence[Dict[str, object]], name: str,
                   field: str = "cycles_per_sec") -> List[Tuple[float, float]]:
     """``(timestamp, value)`` trajectory of one series, oldest first.
 
-    Snapshots that do not carry the series (older code, NumPy-less
-    runner skipping the engine series) are simply absent from the
-    trajectory rather than contributing gaps.
+    Snapshots that do not carry the series (older code, a run limited
+    to one engine) are simply absent from the trajectory rather than
+    contributing gaps.
     """
     points: List[Tuple[float, float]] = []
     table = None

@@ -531,7 +531,6 @@ class TestStoreEngineMetadata:
         assert record["engine"] == "legacy"
 
     def test_turbo_engine_recorded(self, tmp_path):
-        pytest.importorskip("numpy")
         store = ResultStore(tmp_path)
         turbo = spec(config=CoreConfig(engine="turbo"))
         store.put(turbo.cache_key(), turbo, turbo.execute())

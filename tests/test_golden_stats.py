@@ -25,7 +25,6 @@ transition (create, replay, divergence, SRT swaps).
 import pytest
 
 from repro.core.config import ClockPlan, CoreConfig
-from repro.core.engine.turbo import HAVE_NUMPY
 from repro.core.sim import run_baseline, run_flywheel, run_pipelined_wakeup
 from repro.dvfs import GovernorConfig
 from repro.mem import MemorySpec
@@ -161,21 +160,13 @@ def test_deprecated_wrappers_match_session_byte_for_byte(key):
 
 
 # --------------------------------------------------------------------------
-# Engine-backend golden equivalence (PR 7: turbo; this PR: vector). An
-# engine backend is an implementation of the same machine, never a
-# different machine: every observable — SimStats, the cache hierarchy's
-# counters, the full metric registry snapshot — must be byte-identical
-# to the legacy engine. Skipped (not failed) where the repro[turbo]
-# extra is not installed: CI runs the legacy matrix dependency-free and
-# a dedicated engine job with NumPy.
+# Engine-backend golden equivalence. An engine backend is an
+# implementation of the same machine, never a different machine: every
+# observable — SimStats, the cache hierarchy's counters, the full metric
+# registry snapshot — must be byte-identical to the legacy engine.
 
-turbo_required = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="turbo extra (NumPy) not installed")
-
-#: The non-legacy tiers, both held to the same golden gate. On the
-#: dual-clock flywheel "vector" routes to the turbo hybrid loop — the
-#: gate still runs it, pinning that routing to the same numbers.
-ENGINES = ("turbo", "vector")
+#: The non-legacy engines, held to the golden gate.
+ENGINES = ("turbo",)
 
 
 def _full_observables(result):
@@ -197,7 +188,6 @@ def _engine_pair(kind, bench, engine, config_kw=None, clock=None):
     return out
 
 
-@turbo_required
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_engine_reproduces_golden_pins(key, engine):
@@ -209,7 +199,6 @@ def test_engine_reproduces_golden_pins(key, engine):
     assert _pin_counters(_SESSION.run(spec).stats, key) == GOLDEN[key]
 
 
-@turbo_required
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("key", sorted(GOLDEN))
 def test_engine_full_observable_parity(key, engine):
@@ -221,23 +210,20 @@ def test_engine_full_observable_parity(key, engine):
 
 @pytest.mark.parametrize("gov", ("static", "occupancy", "ipc_ladder",
                                  "energy_budget"))
-@turbo_required
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("kind", sorted(_WRAPPERS))
 def test_engine_parity_under_governors(kind, engine, gov):
     """The DVFS interval hook fires at the same cycles under every engine
 
-    (a skip-ahead must never jump across an interval boundary — the
-    vector tier explicitly rejoins the event-bounded tick set when a
-    jump nears one), so every governor decision — and therefore every
-    counter and the piecewise ``sim_time_ps`` — is reproduced exactly.
+    (a skip-ahead must never jump across an interval boundary), so
+    every governor decision — and therefore every counter and the
+    piecewise ``sim_time_ps`` — is reproduced exactly.
     """
     clock = ClockPlan(governor=GovernorConfig(name=gov, interval=1000))
     legacy, other = _engine_pair(kind, "gcc", engine, clock=clock)
     assert legacy == other
 
 
-@turbo_required
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("kind", sorted(_WRAPPERS))
 def test_engine_parity_with_mshr_memory_spec(kind, engine):

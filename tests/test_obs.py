@@ -18,14 +18,10 @@ from repro.obs import (
     chrome_trace,
     render_pipeview,
 )
-from repro.core.engine.turbo import HAVE_NUMPY
 from repro.obs.profiler import PHASES, profile_machine
 
 #: Tiny budgets: every simulated run in this file finishes in ~100ms.
 N, W = 1500, 500
-
-turbo_required = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="turbo extra (NumPy) not installed")
 
 ALL_KINDS = ("baseline", "pipelined_wakeup", "flywheel")
 
@@ -295,7 +291,6 @@ class TestProfiler:
         assert report["cycles"] == plain.stats.total_be_cycles
         assert report["instructions"] == N
 
-    @turbo_required
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_profile_turbo_engine_buckets(self, kind):
         # The turbo backend has no stage ticks to wrap; its profile must
@@ -313,7 +308,6 @@ class TestProfiler:
         assert prof["ticks"] > 0
         assert report["cycles"] > 0
 
-    @turbo_required
     def test_profile_turbo_matches_plain_turbo_run(self):
         from repro.core.sim import default_config
 

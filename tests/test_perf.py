@@ -108,6 +108,23 @@ class TestHistory:
         speedups = series_values(history, "turbo_speedup:baseline/gcc")
         assert [v for _t, v in speedups] == [3.4, 3.4, 3.4]
 
+    def test_vector_speedup_is_read_but_no_longer_written(self):
+        # The committed history holds a line from the removed vector
+        # engine: its ratio table still loads as a synthetic series and
+        # gets a verdict, while fresh snapshots drop the table.
+        report = dict(_report(**{"a/b": 1}),
+                      vector_speedup={"baseline/gcc": 3.5})
+        assert "vector_speedup" not in make_snapshot(report, timestamp=1.0,
+                                                     code="c")
+        root = Path(__file__).resolve().parents[1]
+        history = load_history(root / "BENCH_history.jsonl")
+        names = [n for n in series_names(history)
+                 if n.startswith("vector_speedup:")]
+        assert names
+        assert all(series_values(history, n) for n in names)
+        verdicts = {v.series for v in classify_history(history)}
+        assert set(names) <= verdicts
+
 
 class TestRobustStats:
     def test_median_odd_even(self):

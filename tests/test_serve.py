@@ -8,6 +8,7 @@ import urllib.request
 import pytest
 
 from repro.campaign import CampaignRun, ResultStore, RunSpec
+from repro.campaign.journal import campaigns_dir
 from repro.errors import CampaignError
 from repro.serve import ServeApp, ServeClient, make_server
 from repro.serve.payload import event_payload, specs_from_payload
@@ -260,6 +261,17 @@ class TestService:
                 urllib.request.urlopen(f"{base}/results?limit={limit}")
             assert err.value.code == 400
         assert client.campaigns() == []
+
+    def test_removed_engine_is_a_client_error(self, service):
+        # "vector" is no engine: an explicit spec naming it is rejected
+        # at POST time with a 400, before any journal is created.
+        app, client = service
+        spec = RunSpec(kind="baseline", bench="smoke",
+                       instructions=N, warmup=W).to_dict()
+        spec["config"]["engine"] = "vector"
+        with pytest.raises(CampaignError, match="HTTP 400"):
+            client.submit({"specs": [spec]})
+        assert not list(campaigns_dir(app.store.root).glob("*.jsonl"))
 
     def test_sse_wire_format(self, service):
         _, client = service

@@ -12,24 +12,34 @@ and each gets a pin here against the legacy engine:
 * the deadlock watchdog must trip at the same cycle with the same
   snapshot even when the no-commit window elapses inside a batch.
 
-The NumPy gate for the ``repro[turbo]`` extra is pinned at the bottom:
-absence must surface as the canonical ConfigError at spec construction,
-never as a deep ImportError.
+Below them: the engine axis accepts exactly ``"legacy"`` and
+``"turbo"``, a turbo run needs nothing outside the standard library,
+and the cross-run :class:`StreamPool` cache keys, bounds and grows
+correctly.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.config import ClockPlan, CoreConfig
-from repro.core.engine.turbo import HAVE_NUMPY
+from repro.core.engine.turbo.pool import (
+    _POOL_CACHE,
+    RenamePlan,
+    StreamPool,
+    get_pool,
+)
 from repro.core.sim import execute_kind
 from repro.dvfs import GovernorConfig
 from repro.errors import ConfigError, DeadlockError
+from repro.frontend.bpred import BPredConfig
 from repro.obs.spec import TraceSpec
-
-#: The edge-case pins need to *run* the turbo backend; the gate tests
-#: below do not (they exercise exactly the NumPy-absent path).
-turbo_required = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="turbo extra (NumPy) not installed")
+from repro.session import MachineSpec, Session
+from repro.workloads import generate_program, get_profile
 
 
 def _pair(kind, bench, n=8000, w=3000, clock=None, **cfg_kw):
@@ -41,7 +51,6 @@ def _pair(kind, bench, n=8000, w=3000, clock=None, **cfg_kw):
     return out
 
 
-@turbo_required
 class TestSkipAheadEdges:
     @pytest.mark.parametrize("gov", ("occupancy", "ipc_ladder"))
     def test_jump_never_crosses_a_dvfs_interval(self, gov):
@@ -83,16 +92,168 @@ class TestSkipAheadEdges:
         assert trips[0] == trips[1]
 
 
-class TestNumpyGate:
-    def test_missing_numpy_is_a_config_error(self, monkeypatch):
-        # Simulate the extra not being installed: the spec must fail at
-        # construction with the actionable install hint.
-        import repro.core.engine.turbo as turbo_pkg
+@pytest.mark.parametrize("engine", ("warp", "vector"))
+def test_unknown_engine_rejected(engine):
+    # "vector" named a removed third engine; it gets no alias.
+    with pytest.raises(ConfigError, match="unknown engine"):
+        CoreConfig(engine=engine)
 
-        monkeypatch.setattr(turbo_pkg, "HAVE_NUMPY", False)
-        with pytest.raises(ConfigError, match=r"repro\[turbo\]"):
-            CoreConfig(engine="turbo")
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError, match="unknown engine"):
-            CoreConfig(engine="warp")
+def test_turbo_run_imports_no_numpy():
+    """A fresh-process turbo ``Session.run`` never imports NumPy."""
+    code = ("import sys\n"
+            "from repro import MachineSpec, Session\n"
+            "spec = MachineSpec('baseline', 'gcc', engine='turbo',\n"
+            "                   instructions=2000, warmup=500)\n"
+            "assert Session().run(spec).stats.committed >= 2000\n"
+            "print('numpy' in sys.modules)\n")
+    # Only the package on the path: nothing else may preload modules.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+# --------------------------------------------------------------------------
+# Cross-run stream pool cache: the pool is the shared state behind
+# best-of-N bench repeats and Session.map fan-outs, so its keying and
+# growth rules are load-bearing for correctness, not just speed.
+
+class TestStreamPoolCache:
+    def setup_method(self):
+        _POOL_CACHE.clear()
+
+    def test_keyed_on_program_content_seed_and_bpred(self):
+        prog = generate_program(get_profile("smoke"))
+        pool = get_pool(prog, 0, BPredConfig())
+        assert get_pool(prog, 0, BPredConfig()) is pool
+        # An *equal* program regenerated from the same profile hits the
+        # same entry: keying is content identity, not object identity.
+        again = generate_program(get_profile("smoke"))
+        assert again is not prog
+        assert get_pool(again, 0, BPredConfig()) is pool
+        # Any key axis changing means a different pool: the predictor
+        # config drives the precomputed taken/target columns, the seed
+        # drives value generation.
+        assert get_pool(prog, 1, BPredConfig()) is not pool
+        other_bp = BPredConfig(history_bits=4)
+        assert get_pool(prog, 0, other_bp) is not pool
+        assert len(_POOL_CACHE) == 3
+
+    def test_cache_is_a_bounded_fifo(self):
+        prog = generate_program(get_profile("smoke"))
+        pools = [get_pool(prog, seed, BPredConfig()) for seed in range(6)]
+        assert len(_POOL_CACHE) == 4
+        # Oldest entries evicted: seed 0 misses (new object), seed 5
+        # still hits.
+        assert get_pool(prog, 5, BPredConfig()) is pools[5]
+        assert get_pool(prog, 0, BPredConfig()) is not pools[0]
+
+    def test_session_map_fanout_shares_one_pool(self):
+        # Three turbo specs over the same bench/seed differ only in
+        # budget — distinct cache keys, one underlying pool. jobs=1
+        # keeps the campaign in-process so the cache is observable.
+        specs = [MachineSpec("baseline", "smoke", engine="turbo",
+                             instructions=n, warmup=1000)
+                 for n in (2000, 3000, 4000)]
+        Session().map(specs, jobs=1)
+        assert len(_POOL_CACHE) == 1
+
+    def test_cached_pool_shorter_than_requested_grows(self):
+        # A short run primes the cache with a short pool; a later,
+        # longer run over the same key must grow it in place (ensure()
+        # appends columns) and still land on legacy-identical stats.
+        session = Session()
+
+        def stats(engine, n):
+            config = CoreConfig(engine=engine)
+            return session.run_workload(
+                "baseline", "smoke", config=config,
+                max_instructions=n, warmup=1000).stats.to_dict()
+
+        short = stats("turbo", 2000)
+        pool = next(iter(_POOL_CACHE.values()))
+        rows_after_short = pool.n
+        long = stats("turbo", 6000)
+        assert next(iter(_POOL_CACHE.values())) is pool
+        assert pool.n > rows_after_short
+        # Both budgets, served from the same (grown) pool, match the
+        # pool-less legacy engine exactly.
+        assert short == stats("legacy", 2000)
+        assert long == stats("legacy", 6000)
+
+    def test_explicit_ensure_is_idempotent_growth(self):
+        prog = generate_program(get_profile("smoke"))
+        pool = StreamPool(prog, 0, BPredConfig())
+        pool.ensure(100)
+        n100 = pool.n
+        assert n100 >= 100
+        head = (list(pool.pc[:50]), list(pool.dest[:50]))
+        pool.ensure(50)                     # shorter request: no-op
+        assert pool.n == n100
+        pool.ensure(n100 + 500)             # growth keeps the prefix
+        assert pool.n >= n100 + 500
+        assert list(pool.pc[:50]) == head[0]
+        assert list(pool.dest[:50]) == head[1]
+
+
+def _columns(obj):
+    """Every list column of a pool or plan, by attribute name."""
+    return {name: value for name, value in vars(obj).items()
+            if isinstance(value, list)}
+
+
+class TestPoolGrowthSchedule:
+    """Growth steps are a cost choice only: the columns a pool or plan
+    holds never depend on how they were grown."""
+
+    #: Odd step sizes, so step edges land mid-block and mid-chunk.
+    STEPS = (1, 7, 333, 1, 4099, 8192, 2500)
+
+    def setup_method(self):
+        _POOL_CACHE.clear()
+
+    def test_stream_pool_columns_ignore_the_schedule(self):
+        prog = generate_program(get_profile("gcc"))
+        stepped = StreamPool(prog, 3, BPredConfig())
+        for size in self.STEPS:
+            stepped._grow(size)
+        whole = StreamPool(prog, 3, BPredConfig())
+        whole._grow(sum(self.STEPS))
+        assert stepped.n == whole.n == sum(self.STEPS)
+        assert _columns(stepped) == _columns(whole)
+
+    def test_rename_plan_columns_ignore_the_schedule(self):
+        prog = generate_program(get_profile("gcc"))
+        pool = StreamPool(prog, 3, BPredConfig())
+        stepped = RenamePlan(pool, 500, 96)
+        for size in self.STEPS:
+            stepped._grow(size)
+        whole = RenamePlan(pool, 500, 96)
+        whole._grow(sum(self.STEPS))
+        assert stepped.n == whole.n == 500 + sum(self.STEPS)
+        assert _columns(stepped) == _columns(whole)
+
+    def test_ensure_builds_what_a_short_run_needs(self):
+        prog = generate_program(get_profile("gcc"))
+        pool = StreamPool(prog, 0, BPredConfig())
+        pool.ensure(2500)
+        assert pool.n == 2500
+        pool.ensure(2501)                  # at least doubles: amortized
+        assert pool.n == 5000
+        pool.ensure(100_000)               # past CHUNK: whole chunks
+        assert (pool.n - 5000) % StreamPool.CHUNK == 0
+
+    def test_short_turbo_run_builds_less_than_a_chunk(self):
+        config = CoreConfig(engine="turbo")
+        turbo = execute_kind("baseline", "gcc", config=config,
+                             max_instructions=2000, warmup=500)
+        (pool,) = _POOL_CACHE.values()
+        assert pool.n < StreamPool.CHUNK
+        (plan,) = pool._plans.values()
+        assert plan.n - plan.start < RenamePlan.CHUNK
+        legacy = execute_kind("baseline", "gcc", max_instructions=2000,
+                              warmup=500)
+        assert turbo.stats.to_dict() == legacy.stats.to_dict()
